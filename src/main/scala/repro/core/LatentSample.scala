@@ -10,6 +10,9 @@ import scala.collection.mutable.ArrayBuffer
   *
   * Mutability is deliberate: R-TBS updates the sample in place every batch;
   * the structure is confined to a single sampler instance and never shared.
+  * `A` is a bag: the order of its items carries no meaning, which lets
+  * random deletes fill each hole with the last item ([[LatentSample.removeAt]],
+  * O(k) moves for k victims instead of shifting the tail).
   *
   * Class invariants (checked in tests):
   *   - |A| = ⌊C⌋ (after epsilon-snapping of C),
@@ -53,17 +56,14 @@ final class LatentSample[P](rng: Rng) {
     weight = snap(weight + added)
   }
 
-  /** Remove and return min(m, |A|) uniformly random full items; C decreases
-    * accordingly. Used for the saturated-case replacement (R-TBS line 17).
+  /** Remove min(m, |A|) uniformly random full items with O(m) moves
+    * ([[LatentSample.removeAt]]); C decreases accordingly. Used for the saturated-case replacement (R-TBS line 17).
     */
-  def removeRandomFull(m: Int): IndexedSeq[Item[P]] = {
+  def removeRandomFull(m: Int): Unit = {
     val k = math.min(m, full.size)
-    if (k <= 0) return Vector.empty
-    val idx = rng.sampleIndices(full.size, k).sorted(Ordering.Int.reverse)
-    val removed = ArrayBuffer.empty[Item[P]]
-    idx.foreach { i => removed += full(i); full.remove(i) }
+    if (k <= 0) return
+    removeAt(full, rng.sampleIndexArray(full.size, k))
     weight = snap(weight - k)
-    removed.toVector
   }
 
   /** Algorithm 3: downsample to target weight `cPrime` (0 ≤ cPrime ≤ C),
@@ -147,4 +147,24 @@ object LatentSample {
 
   /** frac(x) = x − ⌊x⌋ on a snapped value. */
   def frac(x: Double): Double = x - math.floor(x)
+
+  /** Delete the items at the distinct indices `idx` from `buf` with O(k)
+    * moves for k = |idx| (plus sorting `idx`), however large `buf` is. Each
+    * hole, visited in descending index order, is filled with the current last
+    * item. Lower indices are never moved before they are visited, so exactly
+    * the items at `idx` go; survivors may change position, which is fine for
+    * every sample buffer in the repo because their order carries no meaning.
+    */
+  private[repro] def removeAt[T](buf: ArrayBuffer[T], idx: Array[Int]): Unit = {
+    val sorted = idx.clone()
+    java.util.Arrays.sort(sorted)
+    var last = buf.size - 1
+    var j = sorted.length - 1
+    while (j >= 0) {
+      buf(sorted(j)) = buf(last)
+      last -= 1
+      j -= 1
+    }
+    buf.dropRightInPlace(sorted.length)
+  }
 }

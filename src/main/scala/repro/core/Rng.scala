@@ -130,17 +130,36 @@ final class Rng(seed: Long) extends Serializable {
     buf.take(k).toVector
   }
 
-  /** Uniform random set of `m` distinct indices from [0, n). */
-  def sampleIndices(n: Int, m: Int): IndexedSeq[Int] = {
-    if (m <= 0 || n <= 0) return Vector.empty
+  /** Uniform random set of min(m, n) distinct indices from [0, n), in draw
+    * order. Dense path (3k ≥ n): partial Fisher–Yates over an `Array[Int]`
+    * of 0 until n, O(n) fill + O(k) swaps. Sparse path: rejection against a
+    * bit set, O(n/64) words + O(k) expected draws.
+    */
+  def sampleIndices(n: Int, m: Int): IndexedSeq[Int] = sampleIndexArray(n, m).toVector
+
+  /** [[sampleIndices]] without boxing: the same draws in the same order. */
+  private[repro] def sampleIndexArray(n: Int, m: Int): Array[Int] = {
+    if (m <= 0 || n <= 0) return Array.emptyIntArray
     val k = math.min(m, n)
     if (k.toLong * 3 >= n) {
-      sampleWithoutReplacement((0 until n).toVector, k)
+      val a = Array.range(0, n)
+      var i = 0
+      while (i < k) {
+        val j = i + r.nextInt(n - i)
+        val tmp = a(i); a(i) = a(j); a(j) = tmp
+        i += 1
+      }
+      if (k == n) a else java.util.Arrays.copyOf(a, k)
     } else {
       // Rejection sampling is cheaper when k << n.
-      val seen = scala.collection.mutable.LinkedHashSet.empty[Int]
-      while (seen.size < k) seen += r.nextInt(n)
-      seen.toVector
+      val seen = new java.util.BitSet(n)
+      val out = new Array[Int](k)
+      var c = 0
+      while (c < k) {
+        val x = r.nextInt(n)
+        if (!seen.get(x)) { seen.set(x); out(c) = x; c += 1 }
+      }
+      out
     }
   }
 }

@@ -3,7 +3,7 @@ package repro.dist
 import org.apache.spark.SparkContext
 import org.apache.spark.rdd.RDD
 import org.apache.spark.storage.StorageLevel
-import repro.core.{Item, Rng}
+import repro.core.{Item, LatentSample, Rng}
 import scala.collection.mutable.ArrayBuffer
 import scala.reflect.ClassTag
 
@@ -72,35 +72,35 @@ final class CoPartReservoirOps[P: ClassTag](
     version += 1
   }
 
-  /** Map global slot positions (over the concatenated partitions) to
-    * per-partition local index lists.
+  /** Map global positions over partitions of the given sizes (concatenated)
+    * to per-partition local index lists, by binary search on the cumulative
+    * sizes.
     */
-  private def toLocal(positions: IndexedSeq[Long]): Map[Int, Array[Int]] = {
-    val cum = sizes.scanLeft(0L)(_ + _)
-    positions
-      .map { pos =>
-        val pid = cum.indices.dropRight(1).find(i => pos >= cum(i) && pos < cum(i + 1)).get
-        (pid, (pos - cum(pid)).toInt)
-      }
-      .groupBy(_._1)
-      .map { case (pid, xs) => pid -> xs.map(_._2).toArray }
+  private def toLocal(partSizes: Array[Long], positions: Array[Long]): Map[Int, Array[Int]] = {
+    val cum = partSizes.scanLeft(0L)(_ + _)
+    val local = Array.fill(partSizes.length)(Array.newBuilder[Int])
+    positions.foreach { pos =>
+      var pid = java.util.Arrays.binarySearch(cum, pos)
+      if (pid < 0) pid = -pid - 2 // the last partition starting below pos
+      else while (cum(pid + 1) == pos) pid += 1 // skip empty partitions starting at pos
+      local(pid) += (pos - cum(pid)).toInt
+    }
+    local.indices.map(pid => pid -> local(pid).result()).filter(_._2.nonEmpty).toMap
   }
 
   /** Uniformly random distinct global positions over the current reservoir. */
-  private def randomGlobalPositions(k: Int): IndexedSeq[Long] = {
+  private def randomGlobalPositions(k: Int): Array[Long] = {
     val total = count
     require(k <= total, s"cannot pick $k of $total")
     // Rejection sampling over Long positions (k is far below total in the
     // regimes we run; fall back to index enumeration for small reservoirs).
-    if (total <= Int.MaxValue) rng.sampleIndices(total.toInt, k).map(_.toLong)
+    if (total <= Int.MaxValue) rng.sampleIndexArray(total.toInt, k).map(_.toLong)
     else {
       val seen = scala.collection.mutable.LinkedHashSet.empty[Long]
       while (seen.size < k) seen += (rng.uniform() * total).toLong
-      seen.toVector
+      seen.toArray
     }
   }
-
-  import CoPartReservoirOps.removeLocal
 
   override def deleteRandom(k: Long): Unit = {
     if (k <= 0) return
@@ -113,18 +113,18 @@ final class CoPartReservoirOps[P: ClassTag](
       update(reservoir.mapPartitionsWithIndex { (pid, it) =>
         val buf = it.next()
         val wrng = new Rng(seedBase).split(pid)
-        removeLocal(buf, wrng.sampleIndices(buf.size, counts(pid).toInt).toArray)
+        LatentSample.removeAt(buf, wrng.sampleIndexArray(buf.size, counts(pid).toInt))
         Iterator(buf)
       }, countsDelta = counts.map(-_))
     } else {
       // Master generates the victim slot numbers itself ("centralized").
-      val plan = toLocal(randomGlobalPositions(kk.toInt))
+      val plan = toLocal(sizes, randomGlobalPositions(kk.toInt))
       val bplan = sc.broadcast(plan)
       val delta = Array.fill(numPartitions)(0L)
       plan.foreach { case (pid, xs) => delta(pid) = -xs.length.toLong }
       update(reservoir.mapPartitionsWithIndex { (pid, it) =>
         val buf = it.next()
-        bplan.value.get(pid).foreach(removeLocal(buf, _))
+        bplan.value.get(pid).foreach(LatentSample.removeAt(buf, _))
         Iterator(buf)
       }, countsDelta = delta)
     }
@@ -138,8 +138,7 @@ final class CoPartReservoirOps[P: ClassTag](
 
   override def extractRandomOne(): Item[P] = {
     require(count > 0, "extract from empty reservoir")
-    val pos = randomGlobalPositions(1)
-    val plan = toLocal(pos)
+    val plan = toLocal(sizes, randomGlobalPositions(1))
     val (pid, idx) = (plan.head._1, plan.head._2.head)
     val out = reservoir
       .mapPartitionsWithIndex((p, it) => if (p == pid) Iterator(it.next()(idx)) else Iterator.empty)
@@ -184,7 +183,7 @@ final class CoPartReservoirOps[P: ClassTag](
         val buf = rit.next()
         val pid = org.apache.spark.TaskContext.getPartitionId()
         val wrng = new Rng(seedBase).split(pid)
-        removeLocal(buf, wrng.sampleIndices(buf.size, delCounts(pid).toInt).toArray)
+        LatentSample.removeAt(buf, wrng.sampleIndexArray(buf.size, delCounts(pid).toInt))
         buf ++= wrng.sampleWithoutReplacement(bit.toVector, insCounts(pid).toInt)
         Iterator(buf)
       }, countsDelta = delCounts.indices.map(i => insCounts(i) - delCounts(i)).toArray)
@@ -192,8 +191,8 @@ final class CoPartReservoirOps[P: ClassTag](
       // Centralized: master picks victim slots and batch positions; the
       // retrieval is a co-located join since the position lists are keyed by
       // batch partition (§5.3, Fig 6(a)).
-      val delPlan = toLocal(randomGlobalPositions(m.toInt))
-      val insPlan = batchPositions(m.toInt, bSizes)
+      val delPlan = toLocal(sizes, randomGlobalPositions(m.toInt))
+      val insPlan = toLocal(bSizes, rng.sampleIndexArray(bSizes.sum.toInt, m.toInt).map(_.toLong))
       val bDel = sc.broadcast(delPlan)
       val bIns = sc.broadcast(insPlan)
       val delta = Array.fill(numPartitions)(0L)
@@ -202,7 +201,7 @@ final class CoPartReservoirOps[P: ClassTag](
       update(reservoir.zipPartitions(batch) { (rit, bit) =>
         val buf = rit.next()
         val pid = org.apache.spark.TaskContext.getPartitionId()
-        bDel.value.get(pid).foreach(removeLocal(buf, _))
+        bDel.value.get(pid).foreach(LatentSample.removeAt(buf, _))
         bIns.value.get(pid).foreach { wanted =>
           val w = wanted.toSet
           var i = 0
@@ -212,19 +211,6 @@ final class CoPartReservoirOps[P: ClassTag](
       }, countsDelta = delta)
     }
     done(b)
-  }
-
-  /** Master-side uniform positions into the batch, grouped per partition. */
-  private def batchPositions(m: Int, bSizes: Array[Long]): Map[Int, Array[Int]] = {
-    val total = bSizes.sum
-    val cum = bSizes.scanLeft(0L)(_ + _)
-    rng.sampleIndices(total.toInt, m)
-      .map { pos =>
-        val pid = cum.indices.dropRight(1).find(i => pos >= cum(i) && pos < cum(i + 1)).get
-        (pid, (pos - cum(pid)).toInt)
-      }
-      .groupBy(_._1)
-      .map { case (pid, xs) => pid -> xs.map(_._2).toArray }
   }
 
   private def pending(b: RDD[Item[P]]): (RDD[Item[P]], Array[Long]) =
@@ -239,13 +225,4 @@ final class CoPartReservoirOps[P: ClassTag](
   }
 
   override def items: IndexedSeq[Item[P]] = reservoir.flatMap(_.iterator).collect().toVector
-}
-
-object CoPartReservoirOps {
-  /** Delete the given local indices from one partition's buffer in place.
-    * Lives in the companion so Spark closures don't capture the (non-
-    * serializable) enclosing instance.
-    */
-  private def removeLocal[P](buf: ArrayBuffer[Item[P]], idx: Array[Int]): Unit =
-    idx.sorted(Ordering.Int.reverse).foreach(buf.remove)
 }

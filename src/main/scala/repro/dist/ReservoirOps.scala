@@ -1,6 +1,6 @@
 package repro.dist
 
-import repro.core.{Item, Rng}
+import repro.core.{Item, LatentSample, Rng}
 import scala.collection.mutable.ArrayBuffer
 
 /** Backend abstraction for the reservoir manipulated by the distributed
@@ -66,7 +66,7 @@ final class LocalReservoirOps[P](rng: Rng) extends ReservoirOps[P, IndexedSeq[It
 
   override def deleteRandom(k: Long): Unit = {
     val kk = math.min(k, buf.size.toLong).toInt
-    rng.sampleIndices(buf.size, kk).sorted(Ordering.Int.reverse).foreach(buf.remove)
+    LatentSample.removeAt(buf, rng.sampleIndexArray(buf.size, kk))
   }
 
   override def extractRandomOne(): Item[P] = {

@@ -1,6 +1,9 @@
 package repro.core
 
+import org.scalacheck.{Gen, Prop, Test}
 import org.scalatest.funsuite.AnyFunSuite
+import scala.collection.mutable.ArrayBuffer
+import scala.util.hashing.MurmurHash3
 
 /** Tests for the latent fractional sample and Algorithm 3 (downsampling),
   * including a Monte-Carlo check of Theorem 4.1.
@@ -144,6 +147,51 @@ class LatentSampleSpec extends AnyFunSuite {
       val p = counts(id.toLong).toDouble / reps
       assert(math.abs(p - expect) < tol, s"item $id: p=$p expect=$expect (c=$c -> $cPrime)")
     }
+  }
+
+  test("removeAt: remaining ∪ removed is the original multiset, size exact") {
+    // Values repeat (i % 7) so the multiset check is not a set check.
+    val cases = for {
+      size <- Gen.choose(0, 200)
+      k    <- Gen.choose(0, size)
+      seed <- Gen.long
+    } yield (size, new Rng(seed).sampleIndexArray(size, k))
+    val prop = Prop.forAll(cases) { case (size, idx) =>
+      val orig = Vector.tabulate(size)(_ % 7)
+      val buf = ArrayBuffer.from(orig)
+      LatentSample.removeAt(buf, idx)
+      val removed = idx.toVector.map(orig)
+      buf.size == size - idx.length && (buf.toVector ++ removed).sorted == orig.sorted
+    }
+    val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(500), prop)
+    assert(res.passed, res.status.toString)
+  }
+
+  test("removeAt edge cases: empty set, last index, every index") {
+    val buf = ArrayBuffer.from(0 until 6)
+    LatentSample.removeAt(buf, Array.emptyIntArray)
+    assert(buf == ArrayBuffer(0, 1, 2, 3, 4, 5))
+    LatentSample.removeAt(buf, Array(5))
+    assert(buf == ArrayBuffer(0, 1, 2, 3, 4))
+    LatentSample.removeAt(buf, Array(1, 4))
+    assert(buf.sorted == ArrayBuffer(0, 2, 3))
+    LatentSample.removeAt(buf, Array(2, 0, 1))
+    assert(buf.isEmpty)
+    val idx = Array(3, 0, 2)
+    LatentSample.removeAt(ArrayBuffer.from(0 until 4), idx)
+    assert(idx.toSeq == Seq(3, 0, 2), "the index array is left as given")
+  }
+
+  test("removeRandomFull removes a pinned item set for a fixed seed") {
+    // The set the tail-shifting delete removed for this seed: the O(k) kernel
+    // must pick the same victims, only survivors may move.
+    val ls = new LatentSample[Int](new Rng(5))
+    ls.appendFull(mkItems(1000))
+    ls.removeRandomFull(300)
+    val removed = (0L until 1000L).toSet -- ls.fullItems.map(_.id)
+    assert(ls.C == 700.0 && ls.fullItems.size == 700 && removed.size == 300)
+    assert(removed.toSeq.sorted.take(10) == Seq(3, 5, 6, 8, 17, 22, 27, 28, 30, 35))
+    assert(MurmurHash3.unorderedHash(removed) == -427341732)
   }
 
   test("Theorem 4.1: integral C to fractional C'")(checkScaling(6.0, 3.3))

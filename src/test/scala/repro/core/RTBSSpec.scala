@@ -176,6 +176,31 @@ class RTBSSpec extends AnyFunSuite {
     assert(run(123) == run(123))
   }
 
+  test("n = 20000: bound, distinct ids and footprint hold on every mostly saturated batch") {
+    // λ = 0.07 and StreamGen's Uniform(0, 2b) sizes with b 10 % above the
+    // steady-state rate n(1 − e^{−λ}): W wanders around 1.1n, so most batches
+    // take the saturated swap and some dip into the other branches.
+    val n = 20000; val lambda = 0.07
+    val regime = repro.data.StreamGen.UniformBatch(math.round(1.1 * n * (1 - math.exp(-lambda))).toInt)
+    val sizeRng = new Rng(31)
+    val r = new RTBS[Int](n, lambda, 32)
+    r.processBatch(mkBatch(0, n))
+    var saturated = 0
+    (1 to 40).foreach { t =>
+      val wasSaturated = r.totalWeight >= n
+      r.processBatch(mkBatch(t, regime.sizeAt(t, sizeRng)))
+      if (wasSaturated && r.totalWeight >= n) saturated += 1
+      val s = r.sample
+      assert(s.size <= n, s"t=$t: |S|=${s.size}")
+      assert(s.map(_.id).distinct.size == s.size, s"t=$t: duplicate ids in S")
+      val latent = r.latentItems
+      assert(latent.map(_.id).distinct.size == latent.size, s"t=$t: duplicate ids in A ∪ π")
+      val fl = math.floor(LatentSample.snap(r.sampleWeight)).toInt
+      assert(latent.size == fl || latent.size == fl + 1, s"t=$t: footprint ${latent.size}, C=${r.sampleWeight}")
+    }
+    assert(saturated >= 25, s"only $saturated of 40 batches took the saturated swap")
+  }
+
   test("constructor validation") {
     intercept[IllegalArgumentException](new RTBS[Int](0, 0.1, 1))
     intercept[IllegalArgumentException](new RTBS[Int](10, -0.1, 1))

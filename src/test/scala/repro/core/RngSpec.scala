@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import scala.util.hashing.MurmurHash3
 
 /** Unit and statistical tests for the random-variate substrate. All seeds are
   * fixed, so every assertion is deterministic.
@@ -157,6 +158,32 @@ class RngSpec extends AnyFunSuite {
     assert(sparse.size == 5 && sparse.distinct.size == 5 && sparse.forall(i => i >= 0 && i < 10000))
     assert(rng.sampleIndices(0, 3).isEmpty)
     assert(rng.sampleIndices(5, 0).isEmpty)
+  }
+
+  test("sampleIndices returns pinned sequences on both code paths") {
+    // Captured from the boxed Vector/LinkedHashSet implementation: the
+    // unboxed paths must make the same nextInt calls in the same order.
+    def draw(seed: Long, n: Int, m: Int) = new Rng(seed).sampleIndices(n, m)
+    assert(draw(7, 10, 7) == Vector(6, 3, 7, 5, 8, 9, 1)) // dense
+    assert(draw(11, 10, 10) == Vector(8, 3, 5, 2, 7, 4, 6, 9, 0, 1)) // dense, k = n
+    val big = draw(7, 1000, 400) // dense
+    assert(big.take(12) == Vector(236, 786, 593, 267, 356, 559, 88, 222, 362, 594, 850, 960))
+    assert(MurmurHash3.seqHash(big) == -1913487482)
+    assert(draw(11, 30, 10) == Vector(18, 4, 29, 6, 5, 12, 10, 21, 13, 20)) // sparse
+    val collide = draw(7, 300, 99) // sparse with many rejected repeats
+    assert(collide.take(12) == Vector(136, 164, 285, 244, 280, 154, 268, 149, 150, 234, 0, 12))
+    assert(MurmurHash3.seqHash(collide) == 1827550111)
+    assert(draw(7, 100000, 50) == Vector(
+      64236, 49164, 29485, 78044, 89380, 66254, 87968, 96649, 98850, 39534,
+      31200, 13712, 78708, 88911, 74495, 89662, 12961, 50738, 71307, 38279,
+      57842, 43924, 58883, 77051, 98718, 62004, 5239, 37400, 66576, 49811,
+      123, 78073, 58679, 63891, 34535, 16492, 91818, 17506, 45646, 23234,
+      46325, 48880, 7673, 78047, 59333, 74395, 8512, 58289, 19276, 20652)) // sparse
+    // Consecutive draws leave the generator in the same state.
+    val r = new Rng(99)
+    assert(r.sampleIndices(20, 8) == Vector(7, 2, 17, 9, 1, 0, 18, 14))
+    assert(r.sampleIndices(5000, 6) == Vector(720, 4599, 868, 4739, 1981, 1159))
+    assert(r.sampleIndices(12, 4) == Vector(2, 4, 10, 9))
   }
 
   test("split produces decorrelated streams") {

@@ -105,4 +105,15 @@ class DRTBSLocalSpec extends AnyFunSuite {
     assert(ops.count == 7)
     assert(ops.items.count(_.batch == 2) == 2)
   }
+
+  test("LocalReservoirOps.deleteRandom removes a pinned item set for a fixed seed") {
+    // The set the tail-shifting delete removed for this seed.
+    val ops = new LocalReservoirOps[Int](new Rng(6))
+    ops.appendAll((0 until 500).map(i => Item(i.toLong, 0, i)))
+    ops.deleteRandom(120)
+    val gone = (0L until 500L).toSet -- ops.items.map(_.id)
+    assert(ops.count == 380 && gone.size == 120)
+    assert(gone.toSeq.sorted.take(10) == Seq(0, 4, 5, 8, 12, 13, 14, 15, 16, 20))
+    assert(scala.util.hashing.MurmurHash3.unorderedHash(gone) == -2103020159)
+  }
 }
