@@ -107,5 +107,5 @@ final class BChao[P](val n: Int, val lambda: Double, seed: Long) extends Sampler
     }
   }
 
-  override def sample: IndexedSeq[Item[P]] = (s ++ v.map(_._1)).toVector
+  override def sample: IndexedSeq[Item[P]] = Sampler.snapshot(s, v.view.map(_._1))
 }

@@ -24,11 +24,10 @@ final class BRS[P](val n: Int, seed: Long) extends Sampler[P] {
   override def processBatch(batch: IndexedSeq[Item[P]]): Unit = {
     val c = math.min(n.toLong, seen + batch.size) // new sample size
     val m = rng.hypergeometric(c, batch.size, seen).toInt
-    val keepOld = rng.sampleWithoutReplacement(s.toVector, math.min(n - m, s.size))
-    s.clear(); s ++= keepOld
+    LatentSample.retainRandom(s, n - m, rng)
     s ++= rng.sampleWithoutReplacement(batch, m)
     seen += batch.size
   }
 
-  override def sample: IndexedSeq[Item[P]] = s.toVector
+  override def sample: IndexedSeq[Item[P]] = Sampler.snapshot(s)
 }

@@ -19,11 +19,9 @@ final class BTBS[P](val lambda: Double, seed: Long) extends Sampler[P] {
   override def name: String = "B-TBS"
 
   override def processBatch(batch: IndexedSeq[Item[P]]): Unit = {
-    val m = rng.binomial(s.size, p).toInt
-    val kept = rng.sampleWithoutReplacement(s.toVector, m)
-    s.clear(); s ++= kept
+    LatentSample.retainRandom(s, rng.binomial(s.size, p).toInt, rng)
     s ++= batch // accept all arrivals
   }
 
-  override def sample: IndexedSeq[Item[P]] = s.toVector
+  override def sample: IndexedSeq[Item[P]] = Sampler.snapshot(s)
 }

@@ -12,7 +12,12 @@ import scala.collection.mutable.ArrayBuffer
   * the structure is confined to a single sampler instance and never shared.
   * `A` is a bag: the order of its items carries no meaning, which lets
   * random deletes fill each hole with the last item ([[LatentSample.removeAt]],
-  * O(k) moves for k victims instead of shifting the tail).
+  * O(k) moves for k victims instead of shifting the tail) and lets a swap
+  * overwrite its victims in place ([[LatentSample.replaceRandom]]). So every
+  * update costs O(items it adds, deletes or overwrites), never O(|A|):
+  * [[appendFull]] O(|B|), [[replaceRandomFull]] O(m), [[downsampleTo]]
+  * O(⌊C⌋ − ⌊C'⌋) moves (plus an O(|A|/64)-word bit set when few go). Only
+  * the snapshots [[fullItems]]/[[realize]] copy A, as one array copy.
   *
   * Class invariants (checked in tests):
   *   - |A| = ⌊C⌋ (after epsilon-snapping of C),
@@ -29,8 +34,8 @@ final class LatentSample[P](rng: Rng) {
   /** Current sample weight C. */
   def C: Double = weight
 
-  /** The ⌊C⌋ full items (read-only copy). */
-  def fullItems: IndexedSeq[Item[P]] = full.toVector
+  /** The ⌊C⌋ full items: an immutable snapshot ([[Sampler.snapshot]]). */
+  def fullItems: IndexedSeq[Item[P]] = Sampler.snapshot(full)
 
   /** The partial item, if frac(C) > 0. */
   def partialItem: Option[Item[P]] = partial
@@ -38,10 +43,12 @@ final class LatentSample[P](rng: Rng) {
   /** Physical storage size |A| + |π|. */
   def footprint: Int = full.size + (if (partial.isDefined) 1 else 0)
 
-  /** Realize S from L per eq. (2): full items surely, partial item w.p. frac(C). */
+  /** Realize S from L per eq. (2): full items surely, partial item w.p.
+    * frac(C). One array copy of A ([[Sampler.snapshot]]).
+    */
   def realize(): IndexedSeq[Item[P]] = partial match {
-    case Some(p) if rng.uniform() < frac(snap(weight)) => (full :+ p).toVector
-    case _ => full.toVector
+    case Some(p) if rng.uniform() < frac(snap(weight)) => Sampler.snapshot(full, partial)
+    case _ => Sampler.snapshot(full)
   }
 
   /** Reset to the empty sample. */
@@ -51,20 +58,17 @@ final class LatentSample[P](rng: Rng) {
     * arriving batch items are accepted with probability 1 (R-TBS lines 9/20).
     */
   def appendFull(items: IterableOnce[Item[P]]): Unit = {
-    var added = 0
-    items.iterator.foreach { it => full += it; added += 1 }
-    weight = snap(weight + added)
+    val before = full.size
+    full ++= items
+    weight = snap(weight + (full.size - before))
   }
 
-  /** Remove min(m, |A|) uniformly random full items with O(m) moves
-    * ([[LatentSample.removeAt]]); C decreases accordingly. Used for the saturated-case replacement (R-TBS line 17).
+  /** Overwrite min(m, |A|, |batch|) uniformly random full items with as many
+    * distinct uniformly random `batch` items ([[LatentSample.replaceRandom]]);
+    * C is unchanged. The saturated-case swap (R-TBS line 17), O(m).
     */
-  def removeRandomFull(m: Int): Unit = {
-    val k = math.min(m, full.size)
-    if (k <= 0) return
-    removeAt(full, rng.sampleIndexArray(full.size, k))
-    weight = snap(weight - k)
-  }
+  def replaceRandomFull(batch: IndexedSeq[Item[P]], m: Int): Unit =
+    replaceRandom(full, batch, m, rng)
 
   /** Algorithm 3: downsample to target weight `cPrime` (0 ≤ cPrime ≤ C),
     * scaling every item's inclusion probability by exactly cPrime/C
@@ -96,7 +100,7 @@ final class LatentSample[P](rng: Rng) {
         val promotedToPartial = full(i)
         partial match {
           case Some(p) => full(i) = p // old partial becomes full
-          case None    => full.remove(i) // degenerate; cannot occur when frOld > 0
+          case None    => removeAt(full, Array(i)) // degenerate; cannot occur when frOld > 0
         }
         partial = Some(promotedToPartial)
       }
@@ -105,31 +109,25 @@ final class LatentSample[P](rng: Rng) {
       if (u <= (cNew / cOld) * frOld) {
         // Partial item is promoted to full: keep ⌊C'⌋ random full items, then
         // SWAP1 — one of them becomes the new partial, old partial goes full.
-        retainRandomFull(flNew.toInt)
+        retainRandom(full, flNew.toInt, rng)
         val i = rng.nextInt(full.size)
         val promotedToPartial = full(i)
         partial match {
           case Some(p) => full(i) = p
-          case None    => full.remove(i)
+          case None    => removeAt(full, Array(i))
         }
         partial = Some(promotedToPartial)
       } else {
         // Partial item is ejected: keep ⌊C'⌋+1 random full items, then MOVE1
         // — one of them becomes the new partial.
-        retainRandomFull(flNew.toInt + 1)
+        retainRandom(full, flNew.toInt + 1, rng)
         val i = rng.nextInt(full.size)
         partial = Some(full(i))
-        full.remove(i)
+        removeAt(full, Array(i))
       }
     }
     if (frNew < Eps) partial = None // line 19: no fractional item
     weight = cNew
-  }
-
-  /** Keep `k` uniformly random full items, discard the rest (in place). */
-  private def retainRandomFull(k: Int): Unit = {
-    val kept = rng.sampleWithoutReplacement(full.toVector, k)
-    full.clear(); full ++= kept
   }
 }
 
@@ -166,5 +164,38 @@ object LatentSample {
       j -= 1
     }
     buf.dropRightInPlace(sorted.length)
+  }
+
+  /** Append to `buf` the items of `items` at the distinct positions `idx`,
+    * in one pass over `items` (so in position order), without copying it.
+    */
+  private[repro] def appendAt[T](buf: ArrayBuffer[T], items: Iterator[T], idx: Array[Int]): Unit = {
+    val wanted = new java.util.BitSet()
+    idx.foreach(wanted.set)
+    var i = 0
+    items.foreach { it => if (wanted.get(i)) buf += it; i += 1 }
+  }
+
+  /** Keep min(k, |buf|) uniformly random items of `buf` by deleting the
+    * others with [[removeAt]]: O(|buf| − k) moves, plus the index draw.
+    */
+  private[repro] def retainRandom[T](buf: ArrayBuffer[T], k: Int, rng: Rng): Unit =
+    removeAt(buf, rng.sampleIndexArray(buf.size, buf.size - k))
+
+  /** Overwrite min(m, |buf|, |batch|) uniformly random items of `buf` with as
+    * many distinct uniformly random items of `batch`, in place: the victim
+    * slots are drawn first, then the batch positions, and slot j receives
+    * the j-th drawn batch item. O(m) writes plus the two index draws, with
+    * no sort, shrink or grow, however large `buf` is.
+    */
+  private[repro] def replaceRandom[T](buf: ArrayBuffer[T], batch: collection.IndexedSeq[T],
+                                      m: Int, rng: Rng): Unit = {
+    val victims = rng.sampleIndexArray(buf.size, math.min(m, batch.size))
+    val picks = rng.sampleIndexArray(batch.size, victims.length)
+    var j = 0
+    while (j < victims.length) {
+      buf(victims(j)) = batch(picks(j))
+      j += 1
+    }
   }
 }

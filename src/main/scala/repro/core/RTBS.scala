@@ -10,6 +10,13 @@ package repro.core
   * items, maximizes expected sample size when unsaturated (Theorem 4.3) and
   * minimizes sample-size variance (Theorem 4.4).
   *
+  * Cost per batch of |B| items, with the sample at weight C ≤ n
+  * (see [[LatentSample]]): unsaturated O(|B|) plus the Algorithm-3 deletes
+  * of the decay, O(⌊C⌋ − ⌊C·e^{-λ}⌋); overshoot the same plus the deletes
+  * down to n; undershoot O(|B|) plus the deletes of the decay from n;
+  * saturated O(m) for the m swapped items. [[sample]] is one array copy of
+  * the sample.
+  *
   * @param n       maximum sample size (reservoir bound)
   * @param lambda  decay rate λ ≥ 0 per unit time
   * @param seed    RNG seed (deterministic runs)
@@ -58,10 +65,7 @@ final class RTBS[P](val n: Int, val lambda: Double, seed: Long) extends Sampler[
         // Still saturated: stochastically round the expected batch acceptance
         // count m = |B_t|·n/W and swap m victims for m random batch items.
         val m = rng.stochasticRound(batch.size * n.toDouble / totalW).toInt
-        if (m > 0) {
-          latent.removeRandomFull(m)
-          latent.appendFull(rng.sampleWithoutReplacement(batch, m))
-        }
+        if (m > 0) latent.replaceRandomFull(batch, m)
       } else {
         // Undershoot: decay the old sample down to e^{-λ·dt}·W_{t-1}, then
         // accept every batch item as a full item.

@@ -1,6 +1,6 @@
 package repro.core
 
-import scala.collection.mutable.ArrayBuffer
+import scala.collection.immutable.ArraySeq
 
 /** Pseudo-random substrate for the sampling algorithms.
   *
@@ -113,22 +113,13 @@ final class Rng(seed: Long) extends Serializable {
     fl.toLong + (if (uniform() < frac) 1L else 0L)
   }
 
-  /** Uniform random subset of min(m, |a|) elements, without replacement.
-    * Matches the paper's `Sample(A, m)` contract (never fails on m > |A|).
-    * Partial Fisher–Yates on a copy: O(|a|) copy + O(m) swaps.
+  /** Uniform random subset of min(m, |a|) elements, without replacement, in
+    * draw order: the elements at [[sampleIndexArray]]`(|a|, m)`. Matches the
+    * paper's `Sample(A, m)` contract (never fails on m > |A|). O(m) beyond
+    * the index draw; `a` is neither copied nor changed.
     */
-  def sampleWithoutReplacement[T](a: IndexedSeq[T], m: Int): IndexedSeq[T] = {
-    if (m <= 0 || a.isEmpty) return Vector.empty
-    val k = math.min(m, a.size)
-    val buf = ArrayBuffer.from(a)
-    var i = 0
-    while (i < k) {
-      val j = i + r.nextInt(buf.size - i)
-      val tmp = buf(i); buf(i) = buf(j); buf(j) = tmp
-      i += 1
-    }
-    buf.take(k).toVector
-  }
+  def sampleWithoutReplacement[T](a: IndexedSeq[T], m: Int): IndexedSeq[T] =
+    ArraySeq.unsafeWrapArray(sampleIndexArray(a.size, m)).map(a)
 
   /** Uniform random set of min(m, n) distinct indices from [0, n), in draw
     * order. Dense path (3k ≥ n): partial Fisher–Yates over an `Array[Int]`

@@ -1,5 +1,7 @@
 package repro.core
 
+import scala.collection.immutable.ArraySeq
+
 /** An item flowing through a batch-arrival stream (§2 of the paper).
   *
   * @param id       globally unique identifier (lets tests track inclusion
@@ -26,9 +28,31 @@ trait Sampler[P] {
   /** The current realized sample S_t. For R-TBS this draws the partial item
     * per eq. (2); repeated calls between batches re-randomize only the
     * partial item, matching the paper's "output S" per time step.
+    *
+    * Every implementation returns an immutable `ArraySeq` built by
+    * [[Sampler.snapshot]]: one array copy of the sample, which later batches
+    * cannot change. One concrete type for every sampler keeps the callers
+    * that index into the sample (kNN scoring loops over it per test point)
+    * monomorphic; a mix of collection types measurably slowed them.
     */
   def sample: IndexedSeq[Item[P]]
 
   /** Human-readable name for bench tables. */
   def name: String
+}
+
+object Sampler {
+
+  /** An immutable array-backed copy of `items` followed by `more`, with one
+    * array copy; the shared result type of every [[Sampler.sample]]. The
+    * array is an `Array[AnyRef]` like the buffers' own, so the copy is a
+    * `System.arraycopy` rather than an element-by-element loop.
+    */
+  private[repro] def snapshot[P](items: collection.IndexedSeq[Item[P]],
+                                 more: Iterable[Item[P]] = Nil): ArraySeq[Item[P]] = {
+    val out = new Array[AnyRef](items.size + more.size)
+    items.copyToArray(out)
+    more.copyToArray(out, items.size)
+    ArraySeq.unsafeWrapArray(out).asInstanceOf[ArraySeq[Item[P]]]
+  }
 }

@@ -17,5 +17,5 @@ final class SlidingWindow[P](val n: Int) extends Sampler[P] {
     while (q.size > n) q.removeHead()
   }
 
-  override def sample: IndexedSeq[Item[P]] = q.toVector
+  override def sample: IndexedSeq[Item[P]] = Sampler.snapshot(q)
 }

@@ -34,11 +34,10 @@ final class TTBS[P](val n: Int, val lambda: Double, val b: Double, seed: Long) e
 
   override def processBatch(batch: IndexedSeq[Item[P]]): Unit = {
     val m = rng.binomial(s.size, p).toInt // simulate |S| retention trials
-    val kept = rng.sampleWithoutReplacement(s.toVector, m)
-    s.clear(); s ++= kept
+    LatentSample.retainRandom(s, m, rng)
     val k = rng.binomial(batch.size, acceptProb).toInt // down-sample new batch
     s ++= rng.sampleWithoutReplacement(batch, k)
   }
 
-  override def sample: IndexedSeq[Item[P]] = s.toVector
+  override def sample: IndexedSeq[Item[P]] = Sampler.snapshot(s)
 }

@@ -184,7 +184,7 @@ final class CoPartReservoirOps[P: ClassTag](
         val pid = org.apache.spark.TaskContext.getPartitionId()
         val wrng = new Rng(seedBase).split(pid)
         LatentSample.removeAt(buf, wrng.sampleIndexArray(buf.size, delCounts(pid).toInt))
-        buf ++= wrng.sampleWithoutReplacement(bit.toVector, insCounts(pid).toInt)
+        LatentSample.appendAt(buf, bit, wrng.sampleIndexArray(bSizes(pid).toInt, insCounts(pid).toInt))
         Iterator(buf)
       }, countsDelta = delCounts.indices.map(i => insCounts(i) - delCounts(i)).toArray)
     } else {
@@ -202,11 +202,7 @@ final class CoPartReservoirOps[P: ClassTag](
         val buf = rit.next()
         val pid = org.apache.spark.TaskContext.getPartitionId()
         bDel.value.get(pid).foreach(LatentSample.removeAt(buf, _))
-        bIns.value.get(pid).foreach { wanted =>
-          val w = wanted.toSet
-          var i = 0
-          bit.foreach { item => if (w.contains(i)) buf += item; i += 1 }
-        }
+        bIns.value.get(pid).foreach(LatentSample.appendAt(buf, bit, _))
         Iterator(buf)
       }, countsDelta = delta)
     }

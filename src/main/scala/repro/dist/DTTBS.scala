@@ -3,7 +3,7 @@ package repro.dist
 import org.apache.spark.SparkContext
 import org.apache.spark.rdd.RDD
 import org.apache.spark.storage.StorageLevel
-import repro.core.{Item, Rng}
+import repro.core.{Item, LatentSample, Rng}
 import scala.collection.mutable.ArrayBuffer
 import scala.reflect.ClassTag
 
@@ -52,9 +52,7 @@ final class DTTBS[P: ClassTag](
       val pid = org.apache.spark.TaskContext.getPartitionId()
       val rng = new Rng(seedBase).split(pid)
       // Retain each current item w.p. p (binomial count + uniform victim set).
-      val keep = rng.binomial(buf.size, pp).toInt
-      val kept = rng.sampleWithoutReplacement(buf.toVector, keep)
-      buf.clear(); buf ++= kept
+      LatentSample.retainRandom(buf, rng.binomial(buf.size, pp).toInt, rng)
       // Down-sample the local batch share w.p. q.
       val local = bit.toVector
       val k = rng.binomial(local.size, qq).toInt

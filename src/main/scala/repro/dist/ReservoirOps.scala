@@ -1,6 +1,6 @@
 package repro.dist
 
-import repro.core.{Item, LatentSample, Rng}
+import repro.core.{Item, LatentSample, Rng, Sampler}
 import scala.collection.mutable.ArrayBuffer
 
 /** Backend abstraction for the reservoir manipulated by the distributed
@@ -78,10 +78,8 @@ final class LocalReservoirOps[P](rng: Rng) extends ReservoirOps[P, IndexedSeq[It
 
   override def appendAll(b: IndexedSeq[Item[P]]): Unit = buf ++= b
 
-  override def replaceRandom(m: Long, b: IndexedSeq[Item[P]]): Unit = {
-    deleteRandom(m)
-    buf ++= rng.sampleWithoutReplacement(b, m.toInt)
-  }
+  override def replaceRandom(m: Long, b: IndexedSeq[Item[P]]): Unit =
+    LatentSample.replaceRandom(buf, b, m.toInt, rng)
 
-  override def items: IndexedSeq[Item[P]] = buf.toVector
+  override def items: IndexedSeq[Item[P]] = Sampler.snapshot(buf)
 }

@@ -182,16 +182,45 @@ class LatentSampleSpec extends AnyFunSuite {
     assert(idx.toSeq == Seq(3, 0, 2), "the index array is left as given")
   }
 
-  test("removeRandomFull removes a pinned item set for a fixed seed") {
-    // The set the tail-shifting delete removed for this seed: the O(k) kernel
-    // must pick the same victims, only survivors may move.
+  test("replaceRandomFull overwrites a pinned item set for a fixed seed") {
+    // The set the tail-shifting delete removed for this seed: the in-place
+    // swap draws its victims with the same first index draw, so it must
+    // overwrite exactly these items.
     val ls = new LatentSample[Int](new Rng(5))
     ls.appendFull(mkItems(1000))
-    ls.removeRandomFull(300)
+    ls.replaceRandomFull(mkItems(300, batch = 7), 300)
     val removed = (0L until 1000L).toSet -- ls.fullItems.map(_.id)
-    assert(ls.C == 700.0 && ls.fullItems.size == 700 && removed.size == 300)
+    assert(ls.C == 1000.0 && ls.fullItems.size == 1000 && removed.size == 300)
+    assert(ls.fullItems.count(_.batch == 7) == 300)
     assert(removed.toSeq.sorted.take(10) == Seq(3, 5, 6, 8, 17, 22, 27, 28, 30, 35))
     assert(MurmurHash3.unorderedHash(removed) == -427341732)
+  }
+
+  test("replaceRandom: input minus the victims plus distinct batch items, size unchanged") {
+    // Buffer values repeat (i % 7) so the multiset check is not a set check;
+    // batch values are distinct so distinct picks show as distinct items.
+    val cases = for {
+      size  <- Gen.choose(0, 200)
+      bSize <- Gen.choose(0, 200)
+      m     <- Gen.choose(0, 250)
+      seed  <- Gen.long
+    } yield (size, bSize, m, seed)
+    val prop = Prop.forAll(cases) { case (size, bSize, m, seed) =>
+      val orig = Vector.tabulate(size)(_ % 7)
+      val batch = Vector.tabulate(bSize)(1000 + _)
+      val buf = ArrayBuffer.from(orig)
+      LatentSample.replaceRandom(buf, batch, m, new Rng(seed))
+      // Replay the kernel's draws: victim slots first, then batch positions.
+      val r = new Rng(seed)
+      val victims = r.sampleIndexArray(size, math.min(m, bSize)).toSet
+      val chosen = r.sampleIndexArray(bSize, victims.size).toVector.map(batch)
+      val k = math.min(m, math.min(size, bSize))
+      val kept = orig.indices.filterNot(victims).map(orig)
+      buf.size == size && chosen.size == k && chosen.distinct.size == k &&
+        buf.sorted == (kept ++ chosen).sorted
+    }
+    val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(500), prop)
+    assert(res.passed, res.status.toString)
   }
 
   test("Theorem 4.1: integral C to fractional C'")(checkScaling(6.0, 3.3))

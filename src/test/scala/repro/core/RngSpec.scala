@@ -150,6 +150,27 @@ class RngSpec extends AnyFunSuite {
     }
   }
 
+  test("sampleWithoutReplacement returns pinned items on the dense path") {
+    // Captured from the copy-and-shuffle implementation: on the dense path
+    // (3m >= |a|) the index-array version makes the same nextInt calls, so it
+    // must return the same items in the same order.
+    def draw(seed: Long, m: Int) = new Rng(seed).sampleWithoutReplacement((100 until 130).toVector, m)
+    assert(draw(31, 12) == Vector(112, 118, 106, 120, 125, 129, 107, 117, 126, 121, 109, 127))
+    assert(draw(32, 30) == Vector(117, 121, 111, 113, 103, 127, 122, 125, 112, 128, 105, 109, 116, 108, 106,
+      123, 118, 104, 129, 124, 115, 100, 114, 102, 126, 110, 107, 119, 101, 120))
+    assert(draw(33, 100) == Vector(103, 117, 129, 108, 112, 128, 113, 109, 104, 101, 118, 124, 122, 100, 106,
+      121, 123, 107, 111, 127, 126, 120, 110, 119, 114, 125, 102, 115, 105, 116)) // m > |a|
+    val big = new Rng(34).sampleWithoutReplacement((0 until 1000).map(_ * 3).toVector, 400)
+    assert(big.size == 400)
+    assert(big.take(12) == Vector(378, 747, 153, 1812, 2619, 981, 2580, 2148, 603, 2079, 2895, 1278))
+    assert(MurmurHash3.seqHash(big) == 1957227176)
+    // Consecutive draws leave the generator in the same state.
+    val r = new Rng(35)
+    assert(r.sampleWithoutReplacement(Vector("a", "b", "c", "d", "e", "f"), 4) == Vector("c", "e", "d", "a"))
+    assert(r.sampleWithoutReplacement((0 until 9).toVector, 3) == Vector(2, 7, 0))
+    assert(r.sampleWithoutReplacement((0 until 20).toVector, 7) == Vector(14, 12, 16, 0, 6, 8, 11))
+  }
+
   test("sampleIndices: distinct, in range, both code paths") {
     val rng = new Rng(23)
     val dense = rng.sampleIndices(10, 7) // Fisher-Yates path
